@@ -3,28 +3,15 @@
 // (tolerant decode + stack walk + blocked classification) plus the three
 // checkers over a synthetic job with realistic call nesting, matched p2p
 // traffic, per-iteration collectives, and worker-thread lock activity.
-// The engine benchmarks put the paper's asymptotic claim on the clock:
-// the replay engine walks every expanded event, the summary engine
-// composes per-loop-body effect summaries over the NLR program, so on
-// long iterative traces the gap widens with the iteration count.
 //
 // Two modes, like perf_sweep:
 //   perf_check [gbench flags]   google-benchmark timings (default)
-//   perf_check --json[=PATH]    one instrumented pass per engine on a
-//                               long-iterative job (phases check_replay /
-//                               check_summary_cold / check_summary_warm /
-//                               check_auto_j{1,2,8}) emitted as a run
-//                               manifest — the generator for
-//                               BENCH_check.json. Exits nonzero when any
-//                               engine's report differs from replay's:
-//                               the bench doubles as a parity check.
+//   perf_check --json[=PATH]    one instrumented check of a long-iterative
+//                               job (phases synthesize / check) emitted as
+//                               a run manifest — the generator for
+//                               BENCH_check.json.
 #include <benchmark/benchmark.h>
 
-#include <stdlib.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -146,63 +133,15 @@ void BM_CheckRankScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckRankScaling)->Arg(4)->Arg(16)->Arg(64);
 
-/// Engine head-to-head on the same archive: the iteration count is the
-/// x-axis of the paper's scaling argument. Replay cost grows with the
-/// expanded event stream; summary cost grows with the NLR program.
-void BM_CheckEngine(benchmark::State& state, analyze::CheckEngine engine) {
-  const auto store = make_job(8, static_cast<std::size_t>(state.range(0)));
-  analyze::CheckOptions options;
-  options.engine = engine;
-  for (auto _ : state) {
-    auto report = analyze::run_checks(store, options);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(state.iterations() * total_events(store));
-}
-BENCHMARK_CAPTURE(BM_CheckEngine, replay, analyze::CheckEngine::Replay)
-    ->Arg(1'000)
-    ->Arg(10'000)
-    ->Arg(50'000);
-BENCHMARK_CAPTURE(BM_CheckEngine, summary, analyze::CheckEngine::Summary)
-    ->Arg(1'000)
-    ->Arg(10'000)
-    ->Arg(50'000);
-BENCHMARK_CAPTURE(BM_CheckEngine, auto_, analyze::CheckEngine::Auto)
-    ->Arg(1'000)
-    ->Arg(10'000)
-    ->Arg(50'000);
-
 // --- manifest mode (--json) --------------------------------------------------
 
-/// Scratch summary-cache directory for the manifest mode.
-struct BenchCacheDir {
-  std::filesystem::path path;
-  BenchCacheDir() {
-    path = std::filesystem::temp_directory_path() /
-           ("difftrace-perf-check-" + std::to_string(::getpid()));
-    std::filesystem::create_directories(path);
-  }
-  ~BenchCacheDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
-
-/// One instrumented pass per engine over a long-iterative job, plus the
-/// DIFFTRACE_JOBS=1/2/8 invariance sweep, emitted as a run manifest (the
-/// generator for BENCH_check.json). Every pass's rendered report must be
-/// byte-identical to replay's — summary and auto are Exact on this
-/// archive's bounded loops, so even summary is held to full parity here.
+/// One instrumented check of a long-iterative job, emitted as a run
+/// manifest (the generator for BENCH_check.json).
 int run_manifest_mode(const std::vector<std::string>& command, const std::string& json_path,
                       const std::string& selftrace_path) {
   obs::MetricsRegistry::instance().reset();
   obs::PhaseTable::instance().reset();
   if (!selftrace_path.empty()) obs::SelfTrace::instance().start();
-  BenchCacheDir cache_dir;
-  bool mismatch = false;
-  std::uint64_t replay_ns = 0;
-  std::uint64_t summary_cold_ns = 0;
-  std::uint64_t summary_warm_ns = 0;
   {
     obs::Span span_root("perf_check");
     trace::TraceStore store;
@@ -210,53 +149,11 @@ int run_manifest_mode(const std::vector<std::string>& command, const std::string
       obs::Span span_make("synthesize");
       store = make_job(8, 20'000);
     }
-    std::string baseline;
-    const auto timed = [&](const std::string& name, const analyze::CheckOptions& options) {
-      obs::Span span(name);
-      const auto start = std::chrono::steady_clock::now();
-      const auto report = analyze::run_checks(store, options);
-      const auto ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                               start)
-              .count());
-      const auto rendered = report.render();
-      if (baseline.empty()) {
-        baseline = rendered;
-      } else if (rendered != baseline) {
-        std::cerr << "perf_check: " << name << " report differs from the replay baseline\n";
-        mismatch = true;
-      }
-      return ns;
-    };
-
-    analyze::CheckOptions replay;
-    replay.engine = analyze::CheckEngine::Replay;
-    replay_ns = timed("check_replay", replay);
-
-    analyze::CheckOptions summary;
-    summary.engine = analyze::CheckEngine::Summary;
-    summary.cache_dir = cache_dir.path.string();
-    summary_cold_ns = timed("check_summary_cold", summary);
-    summary_warm_ns = timed("check_summary_warm", summary);
-
-    // Byte-identical diagnostics at any job count: the checker pipeline
-    // must not let scheduler concurrency into its output.
-    for (const char* jobs : {"1", "2", "8"}) {
-      ::setenv("DIFFTRACE_JOBS", jobs, 1);
-      analyze::CheckOptions auto_opts;
-      auto_opts.engine = analyze::CheckEngine::Auto;
-      timed(std::string("check_auto_j") + jobs, auto_opts);
-    }
-    ::unsetenv("DIFFTRACE_JOBS");
+    const auto report = analyze::run_checks(store);
+    benchmark::DoNotOptimize(report);
   }
-  const auto speedup = [&](std::uint64_t ns) {
-    return ns == 0 ? 0.0 : static_cast<double>(replay_ns) / static_cast<double>(ns);
-  };
-  std::cerr << "[perf_check] replay " << replay_ns / 1'000'000 << "ms, summary cold "
-            << summary_cold_ns / 1'000'000 << "ms (" << speedup(summary_cold_ns) << "x), warm "
-            << summary_warm_ns / 1'000'000 << "ms (" << speedup(summary_warm_ns) << "x)\n";
 
-  auto manifest = obs::collect_manifest(command, {}, mismatch ? 1 : 0);
+  auto manifest = obs::collect_manifest(command, {}, 0);
   if (!selftrace_path.empty()) {
     const auto self_store = obs::SelfTrace::instance().stop();
     self_store.save(selftrace_path);
@@ -264,8 +161,6 @@ int run_manifest_mode(const std::vector<std::string>& command, const std::string
               << selftrace_path << "\n";
     manifest.self_trace = selftrace_path;
   }
-  manifest.check_engine = "summary";
-  manifest.cache_dir = cache_dir.path.string();
   if (json_path.empty()) {
     manifest.write_json(std::cout);
     std::cout << "\n";
@@ -279,7 +174,7 @@ int run_manifest_mode(const std::vector<std::string>& command, const std::string
     file << "\n";
     std::cerr << "[stats] manifest written to " << json_path << "\n";
   }
-  return mismatch ? 1 : 0;
+  return 0;
 }
 
 }  // namespace

@@ -6,19 +6,21 @@
 //
 // Two modes, like perf_sweep / perf_check:
 //   perf_serve [gbench flags]   google-benchmark timings (default)
-//   perf_serve --json[=PATH]    one instrumented ingest + cold/warm rank
-//                               pass emitted as a run manifest (phases
-//                               serve_ingest / rank_cold / rank_warmup /
-//                               rank_warm) — the generator for
-//                               BENCH_serve.json. Exits nonzero when the
-//                               warm answer differs from the cold CLI's
-//                               or the warm speedup falls under 5x: the
-//                               bench doubles as the parity-and-payoff
-//                               gate for the serve subsystem.
+//   perf_serve --json[=PATH]    one instrumented ingest, then kSamples
+//                               paired cold/warm ranks emitted as a run
+//                               manifest (phases serve_ingest / rank_cold /
+//                               rank_warmup / rank_warm) — the generator
+//                               for BENCH_serve.json. Exits nonzero when
+//                               any warm answer differs from the cold
+//                               CLI's or the median paired warm speedup
+//                               falls under 5x: the bench doubles as the
+//                               parity-and-payoff gate for the serve
+//                               subsystem.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -66,8 +68,11 @@ StorePair make_pair() {
 
 /// A wide sweep (every stock filter): the interactive shape serve exists
 /// for, and enough per-cell work that cold cost is decode + real analysis.
+/// Serial on both sides, so the cold/warm ratio measures the serve path and
+/// not the cores the host leaves free.
 const std::vector<std::string>& rank_opts() {
-  static const std::vector<std::string> opts = {"--filters=mpiall,mpisr,mpicol,all,mem,omp"};
+  static const std::vector<std::string> opts = {"--filters=mpiall,mpisr,mpicol,all,mem,omp",
+                                                "--jobs=1"};
   return opts;
 }
 
@@ -178,21 +183,21 @@ std::uint64_t elapsed_ns(const std::chrono::steady_clock::time_point start) {
                                         .count());
 }
 
-/// One instrumented cold-vs-warm pass: ingest the pair into a fresh service,
-/// run the cold CLI path (tolerant load + rank, no cache), then a warm-up
-/// and a timed warm query. Emits a run manifest; nonzero exit on an answer
-/// mismatch or a warm speedup under the gate.
+/// One instrumented cold-vs-warm run: ingest the pair into a fresh service
+/// and warm it up, then take kSamples pairs of (cold CLI rank: tolerant load
+/// + rank, no cache; warm served rank). Emits a run manifest; nonzero exit
+/// on any answer mismatch or a median paired speedup under the gate.
 int run_manifest_mode(const std::vector<std::string>& command, const std::string& json_path,
                       const std::string& selftrace_path) {
   constexpr double kMinSpeedup = 5.0;
+  constexpr int kSamples = 5;
   obs::MetricsRegistry::instance().reset();
   obs::PhaseTable::instance().reset();
   if (!selftrace_path.empty()) obs::SelfTrace::instance().start();
 
   BenchDir dir;
   bool failed = false;
-  std::uint64_t cold_ns = 0;
-  std::uint64_t warm_ns = 0;
+  std::vector<double> speedups;
   {
     obs::Span span_root("perf_serve");
     std::string normal_path;
@@ -225,25 +230,6 @@ int run_manifest_mode(const std::vector<std::string>& command, const std::string
         }
       }
     }
-
-    // Cold truth: exactly what `difftrace rank normal.dtrc faulty.dtrc`
-    // runs — tolerant load of both archives plus the sweep, no cache.
-    std::string cold_output;
-    {
-      obs::Span span_cold("rank_cold");
-      const auto start = std::chrono::steady_clock::now();
-      std::ostringstream out, chatter;
-      auto normal = cli::load_tolerant(normal_path, chatter);
-      auto faulty = cli::load_tolerant(faulty_path, chatter);
-      if (cli::rank_stores(normal.store, faulty.store, cli::Args(rank_opts()), nullptr, out,
-                           chatter) != 0) {
-        std::cerr << "perf_serve: cold rank failed\n";
-        failed = true;
-      }
-      cold_ns = elapsed_ns(start);
-      cold_output = out.str();
-    }
-
     {
       obs::Span span_warmup("rank_warmup");
       const auto resp = service.handle(rank_request("warmup"));
@@ -252,27 +238,51 @@ int run_manifest_mode(const std::vector<std::string>& command, const std::string
         failed = true;
       }
     }
-    {
-      obs::Span span_warm("rank_warm");
-      const auto start = std::chrono::steady_clock::now();
-      const auto resp = service.handle(rank_request("timed"));
-      warm_ns = elapsed_ns(start);
-      if (resp.status != "ok") {
-        std::cerr << "perf_serve: warm rank failed: " << resp.error << "\n";
-        failed = true;
-      } else if (resp.output != cold_output) {
-        std::cerr << "perf_serve: warm answer differs from the cold CLI's\n";
-        failed = true;
+
+    for (int sample = 0; sample < kSamples; ++sample) {
+      // Cold truth: exactly what `difftrace rank normal.dtrc faulty.dtrc`
+      // runs — tolerant load of both archives plus the sweep, no cache.
+      std::string cold_output;
+      std::uint64_t cold_ns = 0;
+      {
+        obs::Span span_cold("rank_cold");
+        const auto start = std::chrono::steady_clock::now();
+        std::ostringstream out, chatter;
+        auto normal = cli::load_tolerant(normal_path, chatter);
+        auto faulty = cli::load_tolerant(faulty_path, chatter);
+        if (cli::rank_stores(normal.store, faulty.store, cli::Args(rank_opts()), nullptr, out,
+                             chatter) != 0) {
+          std::cerr << "perf_serve: cold rank failed\n";
+          failed = true;
+        }
+        cold_ns = elapsed_ns(start);
+        cold_output = out.str();
+      }
+      {
+        obs::Span span_warm("rank_warm");
+        const auto start = std::chrono::steady_clock::now();
+        const auto resp = service.handle(rank_request("timed"));
+        const auto warm_ns = elapsed_ns(start);
+        if (resp.status != "ok") {
+          std::cerr << "perf_serve: warm rank failed: " << resp.error << "\n";
+          failed = true;
+        } else if (resp.output != cold_output) {
+          std::cerr << "perf_serve: warm answer " << sample << " differs from the cold CLI's\n";
+          failed = true;
+        }
+        speedups.push_back(warm_ns == 0 ? 0.0
+                                        : static_cast<double>(cold_ns) /
+                                              static_cast<double>(warm_ns));
       }
     }
   }
 
-  const double speedup =
-      warm_ns == 0 ? 0.0 : static_cast<double>(cold_ns) / static_cast<double>(warm_ns);
-  std::cerr << "[perf_serve] cold " << cold_ns / 1'000'000 << "ms, warm " << warm_ns / 1'000'000
-            << "ms (" << speedup << "x)\n";
+  std::sort(speedups.begin(), speedups.end());
+  const double speedup = speedups[speedups.size() / 2];
+  std::cerr << "[perf_serve] median paired warm speedup " << speedup << "x (" << speedups.front()
+            << "x .. " << speedups.back() << "x over " << speedups.size() << " samples)\n";
   if (!failed && speedup < kMinSpeedup) {
-    std::cerr << "perf_serve: warm speedup " << speedup << "x under the " << kMinSpeedup
+    std::cerr << "perf_serve: median warm speedup " << speedup << "x under the " << kMinSpeedup
               << "x gate\n";
     failed = true;
   }

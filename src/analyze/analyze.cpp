@@ -2,34 +2,13 @@
 
 #include <memory>
 
-#include "analyze/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace difftrace::analyze {
 
-std::string_view check_engine_name(CheckEngine engine) noexcept {
-  switch (engine) {
-    case CheckEngine::Replay:
-      return "replay";
-    case CheckEngine::Summary:
-      return "summary";
-    case CheckEngine::Auto:
-      return "auto";
-  }
-  return "replay";
-}
-
-std::optional<CheckEngine> parse_check_engine(std::string_view name) noexcept {
-  if (name == "replay") return CheckEngine::Replay;
-  if (name == "summary") return CheckEngine::Summary;
-  if (name == "auto") return CheckEngine::Auto;
-  return std::nullopt;
-}
-
-namespace {
-
-CheckReport run_replay(const trace::TraceStore& store, const CheckOptions& options) {
+CheckReport run_checks(const trace::TraceStore& store, const CheckOptions& options) {
+  obs::Span span_check("check");
   // Resolve the checker set first so an unknown name fails fast.
   std::vector<std::unique_ptr<Checker>> checkers;
   if (options.checkers.empty()) {
@@ -54,16 +33,6 @@ CheckReport run_replay(const trace::TraceStore& store, const CheckOptions& optio
     ++report.checkers_run;
   }
   report.sort();
-  return report;
-}
-
-}  // namespace
-
-CheckReport run_checks(const trace::TraceStore& store, const CheckOptions& options) {
-  obs::Span span_check("check");
-  CheckReport report = options.engine == CheckEngine::Replay
-                           ? run_replay(store, options)
-                           : AbstractEngine(store, options).run();
 
   static auto& events = obs::counter("check.events_checked");
   static auto& diagnostics = obs::counter("check.diagnostics");

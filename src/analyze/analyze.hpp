@@ -4,11 +4,7 @@
 // Deterministic and offline: same archive in, same diagnostics out.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analyze/checker.hpp"
@@ -18,26 +14,10 @@
 
 namespace difftrace::analyze {
 
-/// Which engine derives the checker facts (engine.hpp for the abstract two):
-///   replay  — walk every decoded op (the historical engine)
-///   summary — NLR effect summaries, widening where a body is undecidable
-///   auto    — summaries with scoped exact-replay fallback; always exact
-enum class CheckEngine : std::uint8_t { Replay = 0, Summary = 1, Auto = 2 };
-
-[[nodiscard]] std::string_view check_engine_name(CheckEngine engine) noexcept;
-/// nullopt for unknown names ("replay", "summary", "auto").
-[[nodiscard]] std::optional<CheckEngine> parse_check_engine(std::string_view name) noexcept;
-
 struct CheckOptions {
   /// Checker names to run (see available_checkers()); empty = all.
   /// Unknown names throw std::invalid_argument before anything runs.
   std::vector<std::string> checkers;
-  CheckEngine engine = CheckEngine::Replay;
-  /// Summary-cache directory (summary/auto engines); empty = no cache.
-  std::string cache_dir;
-  /// Stream for per-fallback "[fallback] ..." lines (the CLI points this at
-  /// stderr for --engine=auto); null = silent.
-  std::ostream* fallback_log = nullptr;
 };
 
 [[nodiscard]] CheckReport run_checks(const trace::TraceStore& store,

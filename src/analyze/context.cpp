@@ -23,8 +23,6 @@ void walk_stack(StreamInfo& s) {
   s.open_frames = std::move(stack);
 }
 
-}  // namespace
-
 std::string registry_fn_name(const trace::FunctionRegistry* registry, trace::FunctionId fid) {
   if (registry != nullptr && fid < registry->size()) return registry->name(fid);
   return "?fn" + std::to_string(fid);
@@ -73,6 +71,8 @@ void classify_blocked(StreamInfo& s, const trace::FunctionRegistry* registry) {
     break;  // an open Main-image frame below the top means not runtime-blocked
   }
 }
+
+}  // namespace
 
 CheckContext CheckContext::build(const trace::TraceStore& store) {
   CheckContext ctx;

@@ -49,22 +49,6 @@ struct StreamInfo {
   }
 };
 
-/// Replay-view build of one stream: tolerant decode + stack walk. Blocked
-/// classification is a separate step because it needs the registry.
-[[nodiscard]] StreamInfo build_stream_info(const trace::TraceStore& store, trace::TraceKey key);
-
-/// Blocked-stream classification: marks a stream whose tail leaves an
-/// MPI/OMP API frame open (ignoring library internals nested below it) and
-/// attributes the pending op annotated inside that frame.
-void classify_blocked(StreamInfo& s, const trace::FunctionRegistry* registry);
-
-/// Registry lookups that survive damaged archives: unknown ids render as
-/// "?fn<id>" / Image::Main instead of throwing.
-[[nodiscard]] std::string registry_fn_name(const trace::FunctionRegistry* registry,
-                                           trace::FunctionId fid);
-[[nodiscard]] trace::Image registry_fn_image(const trace::FunctionRegistry* registry,
-                                             trace::FunctionId fid);
-
 class CheckContext {
  public:
   [[nodiscard]] static CheckContext build(const trace::TraceStore& store);

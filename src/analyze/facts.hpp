@@ -3,11 +3,10 @@
 // Every checker family is two stages: *fact extraction* distills one stream
 // into a StreamFacts record (stack shape, lock-walk findings and order
 // edges, per-channel send/recv counts, collective participation), and
-// *shared diagnosis* turns the facts of all streams into diagnostics. The
-// replay engine extracts facts by walking the decoded op stream
-// (fill_*_facts below); the abstract engine derives the same facts from
-// NLR body summaries. Because both feed the one diagnosis stage, engine
-// parity is structural: identical facts in, byte-identical report out.
+// *shared diagnosis* turns the facts of all streams into diagnostics. Facts
+// are extracted by walking the decoded op stream (fill_*_facts below); a
+// StreamFacts record holds no decoded events, so diagnosis depends only on
+// what the fills distilled.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,7 @@
 namespace difftrace::analyze {
 
 /// One lock-rule hit witnessed while walking a stream's ops, in walk order
-/// (Unreleased entries trail, mirroring the replay walk).
+/// (Unreleased entries trail).
 struct LockFinding {
   enum class Kind : std::uint8_t {
     Reacquire = 0,
@@ -84,8 +83,8 @@ struct StreamFacts {
   std::vector<trace::OpRecord> colls;  // CollEnter instances in op order
 };
 
-/// Replay-view extraction: fill facts from a decoded stream. Shape must be
-/// filled first — the lock and mpi fills read the blocked classification.
+/// Fact extraction from a decoded stream. Shape must be filled first — the
+/// lock and mpi fills read the blocked classification.
 void fill_shape_facts(const StreamInfo& s, StreamFacts& f);
 void fill_lock_facts(const StreamInfo& s, StreamFacts& f);
 void fill_mpi_facts(const StreamInfo& s, StreamFacts& f);
@@ -117,9 +116,8 @@ class FactsView {
   bool any_ops_ = false;
 };
 
-/// Shared diagnosis: facts in, diagnostics out. Emission order matches the
-/// historical replay walk exactly — CheckReport::sort() is stable, so the
-/// order here is part of the rendered-output contract.
+/// Diagnosis: facts in, diagnostics out. CheckReport::sort() is stable, so
+/// the emission order here is part of the rendered-output contract.
 void diagnose_wellformed(const FactsView& view, CheckReport& out);
 void diagnose_locks(const FactsView& view, CheckReport& out);
 void diagnose_mpi(const FactsView& view, CheckReport& out);

@@ -15,7 +15,7 @@
 //
 // Split per facts.hpp: fill_lock_facts walks one stream's ops and records
 // findings/edges; diagnose_locks renders findings and hunts order cycles
-// across streams — both engines share the latter.
+// across streams.
 #include <algorithm>
 #include <map>
 #include <set>

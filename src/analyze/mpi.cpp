@@ -19,7 +19,7 @@
 //
 // Split per facts.hpp: fill_mpi_facts aggregates one stream's channel
 // counts and collective participation; diagnose_mpi does the cross-rank
-// matching — both engines share the latter.
+// matching.
 #include <algorithm>
 #include <map>
 #include <optional>

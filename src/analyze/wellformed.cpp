@@ -6,7 +6,7 @@
 // mid-call) but suspicious in a run that claims to have finished cleanly.
 //
 // Split per facts.hpp: fill_shape_facts (context.cpp's stack walk feeds it)
-// extracts, diagnose_wellformed renders — both engines share the latter.
+// extracts, diagnose_wellformed renders.
 #include <string>
 
 #include "analyze/checker.hpp"

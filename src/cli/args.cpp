@@ -45,17 +45,22 @@ std::optional<std::string> Args::get(const std::string& key) const {
   return it->second;
 }
 
-std::int64_t Args::int_or(const std::string& key, std::int64_t fallback) const {
+std::int64_t Args::int_in(const std::string& key, std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi) const {
   const auto it = options_.find(key);
   if (it == options_.end() || it->second.empty()) return fallback;
+  std::int64_t value = 0;
   try {
     std::size_t used = 0;
-    const auto value = std::stoll(it->second, &used);
+    value = std::stoll(it->second, &used);
     if (used != it->second.size()) throw std::invalid_argument("trailing junk");
-    return value;
   } catch (const std::exception&) {
     throw ArgError("option --" + key + " expects an integer, got '" + it->second + "'");
   }
+  if (value < lo || value > hi)
+    throw ArgError("option --" + key + " must be in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "], got " + std::to_string(value));
+  return value;
 }
 
 bool Args::flag(const std::string& key) const { return options_.contains(key); }

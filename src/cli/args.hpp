@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -32,7 +33,15 @@ class Args {
   [[nodiscard]] std::string get_or(const std::string& key, const std::string& fallback) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
-  [[nodiscard]] std::int64_t int_or(const std::string& key, std::int64_t fallback) const;
+  /// Integer option value in [lo, hi], or `fallback` when absent. Throws
+  /// ArgError when the value is not an integer or lies outside the range.
+  [[nodiscard]] std::int64_t int_in(const std::string& key, std::int64_t fallback,
+                                    std::int64_t lo, std::int64_t hi) const;
+  /// int_in over the whole std::int64_t range.
+  [[nodiscard]] std::int64_t int_or(const std::string& key, std::int64_t fallback) const {
+    return int_in(key, fallback, std::numeric_limits<std::int64_t>::min(),
+                  std::numeric_limits<std::int64_t>::max());
+  }
   [[nodiscard]] bool flag(const std::string& key) const;
 
   /// Positional at index; throws ArgError with `what` when absent.

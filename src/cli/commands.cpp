@@ -150,11 +150,13 @@ commands:
   rank NORMAL FAULTY [--filters SPEC,SPEC,...] [--attrs a,b,...] [--k N]
        [--linkage NAME] [--top N] [--jobs N] [--cache[=DIR]]
       filter x attribute sweep; prints the ranking table and consensus.
-      --jobs N sizes the worker pool (default: DIFFTRACE_JOBS env, then the
-      hardware concurrency; --jobs 1 forces serial; --threads is a legacy
-      alias). --cache reuses per-trace NLR and per-row evaluation artifacts
-      from DIR (default .difftrace-cache). Output is byte-identical at any
-      job count and any cache state.
+      --top N (1..1000, default 6) caps the suspicious traces listed per
+      row. --jobs N sizes the worker pool, 0..4x the CPUs the process may
+      run on (0 = default: DIFFTRACE_JOBS env if in that range, then the
+      CPU count; --jobs 1 forces serial; --threads is a legacy alias).
+      --cache reuses per-trace NLR and per-row evaluation artifacts from
+      DIR (default .difftrace-cache). Output is byte-identical at any job
+      count and any cache state.
   diffnlr NORMAL FAULTY --trace P.T [--filter SPEC] [--k N] [--color]
           [--side-by-side]
       loop-structure diff of one trace between the two runs.
@@ -169,19 +171,11 @@ commands:
   report NORMAL FAULTY [--filters SPEC,...] [--detail-filter SPEC]
          [--diffs N] [--side-by-side] [--jobs N] [--cache[=DIR]]
       one-shot artifact: triage + ranking + progress + top diffNLRs.
-  check STORE [--checkers NAME,NAME,...] [--engine {replay|summary|auto}]
-        [--cache[=DIR]] [--list]
+  check STORE [--checkers NAME,NAME,...] [--list]
       semantic trace verifier: call/return well-formedness, MPI send/recv
       matching, collective agreement, deadlock cycles, and lock discipline.
       exits 0 when clean, 1 when any error-severity finding exists, 3 when
       only warnings/infos were found. --list prints the available checkers.
-      --engine picks how facts are derived: 'replay' walks every decoded op
-      (default), 'summary' analyzes loop-body effect summaries over the NLR
-      form (widening undecidable bodies), 'auto' uses summaries but replays
-      exactly the loops a summary cannot decide (logged to stderr) — same
-      verdicts as replay, typically much faster on iterative traces.
-      --cache keys exact per-stream summaries into the artifact cache so a
-      warm re-check skips summarization entirely.
   fsck STORE [--rescue FILE]
       integrity-check an archive; prints a per-section salvage report and
       exits non-zero if anything is damaged. --rescue writes the recovered
@@ -241,6 +235,11 @@ global flags (any command; use the '=' forms):
   --self-trace[=FILE] record difftrace's own pipeline phases as a v2 trace
                       archive (default difftrace-selftrace.dtrc) — analyzable
                       with 'difftrace nlr', 'diffnlr', and 'fsck'.
+
+NLR options (nlr, rank, diffnlr, triage, report, ...): --k N is the
+longest loop body examined (1..1000, default 10); --min-reps N is the
+repetitions that form a loop (2..1000, default 2). A value out of range
+exits 2.
 
 filter SPEC: '+'-joined terms from {mpiall, mpicol, mpisr, mpiint, omp,
 ompcrit, ompmutex, mem, net, poll, string, all, cust=REGEX}; prefix terms
@@ -660,7 +659,6 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out, std::os
   std::vector<std::string> input_paths;
   std::uint64_t manifest_jobs = 0;
   std::string manifest_cache_dir;
-  std::string manifest_check_engine;
   try {
     const Args args(argv);
     const auto& command = argv[0];
@@ -674,11 +672,6 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out, std::os
     if (command == "rank" || command == "report" || command == "matrix" || command == "serve")
       manifest_jobs = sched::resolve_jobs(jobs_request_from(args));
     manifest_cache_dir = cache_dir_from(args);
-    // Fact-engine provenance: which engine `check` derived its facts with
-    // (recorded whether or not the flag parses — a bad value exits 2 anyway).
-    if (command == "check")
-      if (const auto engine = analyze::parse_check_engine(args.get_or("engine", "replay")))
-        manifest_check_engine = analyze::check_engine_name(*engine);
 
     // One telemetry window per run: the process may host several in-process
     // run_command calls (tests), so start each instrumented run from zero.
@@ -722,7 +715,6 @@ int run_command(const std::vector<std::string>& argv, std::ostream& out, std::os
       auto manifest = obs::collect_manifest(argv, input_paths, code);
       manifest.jobs = manifest_jobs;
       manifest.cache_dir = manifest_cache_dir;
-      manifest.check_engine = manifest_check_engine;
       // Cross-reference the archive saved above so `perf diff` can follow
       // two manifests to their self-traces and localize divergence.
       if (want_selftrace) manifest.self_trace = selftrace_path;

@@ -38,6 +38,7 @@
 #include "apps/catalog.hpp"
 #include "apps/runner.hpp"
 #include "cli/commands.hpp"
+#include "cli/ops.hpp"
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -332,7 +333,7 @@ int cmd_matrix(const Args& args, std::ostream& out, std::ostream& err) {
   const int timeout_ms = static_cast<int>(args.int_or("cell-timeout-ms", 10000));
   if (timeout_ms <= 0) throw ArgError("--cell-timeout-ms must be positive");
   const int nranks_override = static_cast<int>(args.int_or("nranks", 0));
-  const auto jobs = sched::resolve_jobs(static_cast<std::size_t>(args.int_or("jobs", 0)));
+  const auto jobs = sched::resolve_jobs(jobs_request_from(args));
   const auto keep_dir = args.get_or("keep-archives", "");
   const bool quiet = args.flag("quiet");
 

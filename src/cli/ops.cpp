@@ -7,10 +7,22 @@
 #include "cli/commands.hpp"
 #include "obs/span.hpp"
 #include "sched/cache.hpp"
+#include "sched/pool.hpp"
 #include "util/log.hpp"
 #include "util/str.hpp"
 
 namespace difftrace::cli {
+
+namespace {
+
+// Upper bounds of --k, --min-reps and --top (the ranges `--help` documents).
+// The NLR window is the paper's K (10 or 50 there); the rest only need to
+// stay far above any trace count the tool handles.
+constexpr std::int64_t kMaxNlrK = 1000;
+constexpr std::int64_t kMaxMinReps = 1000;
+constexpr std::int64_t kMaxTop = 1000;
+
+}  // namespace
 
 trace::TraceKey parse_trace_key(const std::string& label) {
   const auto parts = util::split(label, '.');
@@ -51,8 +63,8 @@ core::Linkage parse_linkage(const std::string& name) {
 
 core::NlrConfig nlr_from(const Args& args) {
   core::NlrConfig nlr;
-  nlr.k = static_cast<std::size_t>(args.int_or("k", 10));
-  nlr.min_reps = static_cast<std::size_t>(args.int_or("min-reps", 2));
+  nlr.k = static_cast<std::size_t>(args.int_in("k", 10, 1, kMaxNlrK));
+  nlr.min_reps = static_cast<std::size_t>(args.int_in("min-reps", 2, 2, kMaxMinReps));
   nlr.fold_known_bodies = args.flag("fold-known");
   return nlr;
 }
@@ -65,8 +77,9 @@ std::vector<core::FilterSpec> filters_from(const Args& args) {
 }
 
 std::size_t jobs_request_from(const Args& args) {
-  if (args.has("jobs")) return static_cast<std::size_t>(args.int_or("jobs", 0));
-  return static_cast<std::size_t>(args.int_or("threads", 0));
+  const auto cap = static_cast<std::int64_t>(sched::max_jobs());
+  if (args.has("jobs")) return static_cast<std::size_t>(args.int_in("jobs", 0, 0, cap));
+  return static_cast<std::size_t>(args.int_in("threads", 0, 0, cap));
 }
 
 std::string cache_dir_from(const Args& args) {
@@ -92,7 +105,7 @@ int rank_stores(const trace::TraceStore& normal, const trace::TraceStore& faulty
     }
     sweep.pipeline.nlr = nlr_from(args);
     sweep.pipeline.linkage = parse_linkage(args.get_or("linkage", "ward"));
-    sweep.pipeline.top_n = static_cast<std::size_t>(args.int_or("top", 6));
+    sweep.pipeline.top_n = static_cast<std::size_t>(args.int_in("top", 6, 1, kMaxTop));
     sweep.analysis_threads = jobs_request_from(args);
     sweep.cache = cache;
     for (const auto& health : core::store_health(normal, faulty))
@@ -107,15 +120,8 @@ int rank_stores(const trace::TraceStore& normal, const trace::TraceStore& faulty
 }
 
 int check_store(const trace::TraceStore& store, const std::string& label, const Args& args,
-                const std::string& default_cache_dir, std::ostream& out, std::ostream& err) {
+                const std::string& /*default_cache_dir*/, std::ostream& out, std::ostream& err) {
   analyze::CheckOptions options;
-  const auto engine_name = args.get_or("engine", "replay");
-  const auto engine = analyze::parse_check_engine(engine_name);
-  if (!engine) throw ArgError("unknown engine '" + engine_name + "' (replay, summary, auto)");
-  options.engine = *engine;
-  options.cache_dir = cache_dir_from(args);
-  if (options.cache_dir.empty()) options.cache_dir = default_cache_dir;
-  if (options.engine == analyze::CheckEngine::Auto) options.fallback_log = &err;
   if (const auto names = args.get("checkers")) {
     for (const auto& name : util::split(*names, ',')) {
       // An unknown checker is an analysis failure, not a usage error: name

@@ -33,7 +33,7 @@ inline constexpr const char* kDefaultCacheDir = ".difftrace-cache";
 
 [[nodiscard]] core::Linkage parse_linkage(const std::string& name);
 
-/// NLR knobs from --k / --min-reps / --fold-known.
+/// NLR knobs from --k (1..1000) / --min-reps (2..1000) / --fold-known.
 [[nodiscard]] core::NlrConfig nlr_from(const Args& args);
 
 /// Comma-separated --filters list (default "mpiall"), each term parsed with
@@ -42,6 +42,7 @@ inline constexpr const char* kDefaultCacheDir = ".difftrace-cache";
 
 /// Requested job count: --jobs wins, --threads is the pre-engine spelling
 /// kept as an alias, 0 (default) defers to DIFFTRACE_JOBS / the hardware.
+/// A value outside [0, sched::max_jobs()] is an ArgError.
 [[nodiscard]] std::size_t jobs_request_from(const Args& args);
 
 /// Cache directory selected by --cache[=DIR]; "" means caching is off.
@@ -58,9 +59,8 @@ int rank_stores(const trace::TraceStore& normal, const trace::TraceStore& faulty
 
 /// The body of `check` after the store is in memory. `label` is the name
 /// printed in the report header (the CLI passes the archive path; serve
-/// passes the run name). `default_cache_dir` seeds the summary cache when
-/// the request carries no --cache of its own ("" = no cache) — the daemon
-/// points this at its resident cache directory.
+/// passes the run name). `default_cache_dir` is unused: `check` reads and
+/// writes no cache. The parameter stays so existing callers keep compiling.
 int check_store(const trace::TraceStore& store, const std::string& label, const Args& args,
                 const std::string& default_cache_dir, std::ostream& out, std::ostream& err);
 

@@ -148,31 +148,6 @@ std::vector<int> cut_to_k(const Dendrogram& dendrogram, std::size_t n, std::size
   return labels;
 }
 
-util::Matrix cophenetic(const Dendrogram& dendrogram, std::size_t n) {
-  if (dendrogram.size() + 1 != n && n > 0)
-    throw std::invalid_argument("cophenetic: dendrogram size does not match n");
-  // members[c] = observations of cluster id c (ids: 0..n-1 singletons,
-  // n+m for merge m).
-  std::vector<std::vector<std::size_t>> members(n + dendrogram.size());
-  for (std::size_t i = 0; i < n; ++i) members[i] = {i};
-  util::Matrix out = util::Matrix::square(n);
-  for (std::size_t m = 0; m < dendrogram.size(); ++m) {
-    const auto& merge = dendrogram[m];
-    const auto& left = members[merge.a];
-    const auto& right = members[merge.b];
-    for (const auto i : left)
-      for (const auto j : right) {
-        out(i, j) = merge.height;
-        out(j, i) = merge.height;
-      }
-    auto& joined = members[n + m];
-    joined.reserve(left.size() + right.size());
-    joined.insert(joined.end(), left.begin(), left.end());
-    joined.insert(joined.end(), right.begin(), right.end());
-  }
-  return out;
-}
-
 std::string render_dendrogram(const Dendrogram& dendrogram, std::size_t n,
                               const std::vector<std::string>& labels) {
   if (!labels.empty() && labels.size() != n)

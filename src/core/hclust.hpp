@@ -43,10 +43,6 @@ using Dendrogram = std::vector<Merge>;  // n-1 merges
 /// Distance matrix helper: 1 - similarity, forced symmetric, zero diagonal.
 [[nodiscard]] util::Matrix similarity_to_distance(const util::Matrix& similarity);
 
-/// Cophenetic distance matrix: entry (i, j) is the height of the merge at
-/// which observations i and j first share a cluster (SciPy `cophenet`).
-[[nodiscard]] util::Matrix cophenetic(const Dendrogram& dendrogram, std::size_t n);
-
 /// ASCII dendrogram, merges bottom-up with heights and member labels:
 ///   [5.0 7.0] + [3.0]  @ 0.241
 /// `labels` must have n entries (defaults to indices when empty).

@@ -38,45 +38,6 @@ double jaccard(const std::set<std::string>& a, const std::set<std::string>& b) {
   return static_cast<double>(intersection) / static_cast<double>(uni);
 }
 
-double weighted_jaccard(const std::map<std::string, std::uint64_t>& a,
-                        const std::map<std::string, std::uint64_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  double min_sum = 0.0;
-  double max_sum = 0.0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() || ib != b.end()) {
-    if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
-      max_sum += static_cast<double>(ia->second);
-      ++ia;
-    } else if (ia == a.end() || ib->first < ia->first) {
-      max_sum += static_cast<double>(ib->second);
-      ++ib;
-    } else {
-      min_sum += static_cast<double>(std::min(ia->second, ib->second));
-      max_sum += static_cast<double>(std::max(ia->second, ib->second));
-      ++ia;
-      ++ib;
-    }
-  }
-  return max_sum == 0.0 ? 1.0 : min_sum / max_sum;
-}
-
-util::Matrix jsm_from_frequencies(const std::vector<std::map<std::string, std::uint64_t>>& freqs) {
-  const std::size_t n = freqs.size();
-  charge_jsm_cells(n);
-  util::Matrix m = util::Matrix::square(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = 1.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double s = weighted_jaccard(freqs[i], freqs[j]);
-      m(i, j) = s;
-      m(j, i) = s;
-    }
-  }
-  return m;
-}
-
 util::Matrix jsm_from_attributes(const std::vector<std::set<std::string>>& attrs) {
   const std::size_t n = attrs.size();
   charge_jsm_cells(n);

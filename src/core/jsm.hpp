@@ -9,8 +9,6 @@
 // "row 5 changed the most after the bug was introduced" (§II-G).
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,17 +20,6 @@ namespace difftrace::core {
 
 /// Jaccard similarity of two string sets. Both empty => 1 (identical).
 [[nodiscard]] double jaccard(const std::set<std::string>& a, const std::set<std::string>& b);
-
-/// Weighted Jaccard over frequency vectors: Σ min(f_a, f_b) / Σ max(f_a,
-/// f_b) (missing keys count as 0). A graded alternative to embedding the
-/// frequency into the attribute identity (Table V's actual/log10 modes):
-/// a count drifting from 100 to 101 costs ~1%, not a whole attribute.
-[[nodiscard]] double weighted_jaccard(const std::map<std::string, std::uint64_t>& a,
-                                      const std::map<std::string, std::uint64_t>& b);
-
-/// Pairwise JSM over per-object frequency maps (weighted Jaccard).
-[[nodiscard]] util::Matrix jsm_from_frequencies(
-    const std::vector<std::map<std::string, std::uint64_t>>& freqs);
 
 /// Pairwise JSM over per-object attribute sets.
 [[nodiscard]] util::Matrix jsm_from_attributes(const std::vector<std::set<std::string>>& attrs);

@@ -391,31 +391,6 @@ Evaluation evaluate(const Session& session, const AttrConfig& attr, Linkage link
   return out;
 }
 
-Evaluation evaluate_weighted(const Session& session, AttrKind kind, Linkage linkage_method) {
-  obs::Span span_evaluate("evaluate");
-  Evaluation out;
-  out.attr = AttrConfig{kind, FreqMode::Actual};
-
-  const std::size_t n = session.traces().size();
-  std::vector<std::map<std::string, std::uint64_t>> freqs_normal(n);
-  std::vector<std::map<std::string, std::uint64_t>> freqs_faulty(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    freqs_normal[i] = mine_frequencies(session.normal_nlr(i), session.tokens(), session.loops(), kind);
-    freqs_faulty[i] = mine_frequencies(session.faulty_nlr(i), session.tokens(), session.loops(), kind);
-  }
-  out.jsm_normal = jsm_from_frequencies(freqs_normal);
-  out.jsm_faulty = jsm_from_frequencies(freqs_faulty);
-  out.jsm_d = jsm_diff(out.jsm_normal, out.jsm_faulty);
-  out.scores = suspicion_scores(out.jsm_d);
-
-  if (n >= 2) {
-    out.dend_normal = linkage(similarity_to_distance(out.jsm_normal), linkage_method);
-    out.dend_faulty = linkage(similarity_to_distance(out.jsm_faulty), linkage_method);
-    out.bscore = bscore(out.dend_normal, out.dend_faulty, n);
-  }
-  return out;
-}
-
 SingleRunEvaluation evaluate_single_run(const trace::TraceStore& store, const FilterSpec& filter,
                                         const AttrConfig& attr, const NlrConfig& nlr,
                                         Linkage linkage_method) {

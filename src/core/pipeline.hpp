@@ -150,12 +150,6 @@ struct Evaluation {
 
 [[nodiscard]] Evaluation evaluate(const Session& session, const AttrConfig& attr, Linkage linkage);
 
-/// Weighted-Jaccard variant: similarities come from raw frequency vectors
-/// (Σmin/Σmax) instead of attribute sets, so count drift degrades
-/// similarity gradually. The Evaluation's attr field records the kind with
-/// FreqMode::Actual (frequencies are inherently "actual" here).
-[[nodiscard]] Evaluation evaluate_weighted(const Session& session, AttrKind kind, Linkage linkage);
-
 /// §II-A single-run mode: "many types of faults may be apparent just by
 /// analyzing JSM_faulty" — e.g. truncated processes look highly dissimilar
 /// to those that terminated normally. Ranks the traces of ONE run by how

@@ -59,8 +59,6 @@ RunManifest collect_manifest(std::vector<std::string> command,
   for (const auto& counter : m.counters) {
     if (counter.name == "sched.cache_hit") m.cache_hits = counter.value;
     if (counter.name == "sched.cache_miss") m.cache_misses = counter.value;
-    if (counter.name == "check.summary_cache_hit") m.summary_cache_hits = counter.value;
-    if (counter.name == "check.summary_cache_miss") m.summary_cache_misses = counter.value;
   }
   for (const auto& path : input_paths) m.inputs.push_back(digest_file(path));
   return m;
@@ -91,9 +89,6 @@ void RunManifest::write_json(std::ostream& out) const {
   w.field("cache_dir", cache_dir);
   w.field("cache_hits", cache_hits);
   w.field("cache_misses", cache_misses);
-  w.field("check_engine", check_engine);
-  w.field("summary_cache_hits", summary_cache_hits);
-  w.field("summary_cache_misses", summary_cache_misses);
   w.field("self_trace", self_trace);
 
   w.key("inputs");
@@ -182,12 +177,6 @@ RunManifest RunManifest::from_json(const util::JsonValue& doc) {
   if (const auto* dir_field = doc.find("cache_dir")) m.cache_dir = dir_field->as_string();
   if (const auto* hits_field = doc.find("cache_hits")) m.cache_hits = hits_field->as_uint();
   if (const auto* misses_field = doc.find("cache_misses")) m.cache_misses = misses_field->as_uint();
-  if (const auto* engine_field = doc.find("check_engine"))
-    m.check_engine = engine_field->as_string();
-  if (const auto* shits_field = doc.find("summary_cache_hits"))
-    m.summary_cache_hits = shits_field->as_uint();
-  if (const auto* smisses_field = doc.find("summary_cache_misses"))
-    m.summary_cache_misses = smisses_field->as_uint();
   if (const auto* selftrace_field = doc.find("self_trace"))
     m.self_trace = selftrace_field->as_string();
 
@@ -268,18 +257,13 @@ std::string RunManifest::render() const {
   out << "cpu time:       " << format_ms(cpu_ns) << " ms\n";
   out << "peak rss:       " << peak_rss_kb << " KiB\n";
   if (jobs != 0) out << "jobs:           " << jobs << "\n";
-  // Surface cache and engine telemetry whenever there is anything to say:
-  // a recorded directory/engine, or nonzero traffic (older manifests carry
-  // the counters without the directory).
+  // Surface cache telemetry whenever there is anything to say: a recorded
+  // directory, or nonzero traffic (older manifests carry the counters
+  // without the directory).
   if (!cache_dir.empty() || cache_hits + cache_misses != 0) {
     if (!cache_dir.empty()) out << "cache dir:      " << cache_dir << "\n";
     out << "cache hits:     " << cache_hits << "\n";
     out << "cache misses:   " << cache_misses << "\n";
-  }
-  if (!check_engine.empty() || summary_cache_hits + summary_cache_misses != 0) {
-    if (!check_engine.empty()) out << "check engine:   " << check_engine << "\n";
-    out << "summary cache:  " << summary_cache_hits << " hit(s), " << summary_cache_misses
-        << " miss(es)\n";
   }
   if (!self_trace.empty()) out << "self trace:     " << self_trace << "\n";
   out << "phase coverage: " << util::format_double(phase_coverage() * 100.0, 1) << "% of root wall\n";

@@ -18,9 +18,6 @@
 //   cache_dir         string  artifact cache directory ("" = no cache)
 //   cache_hits        int     sched.cache_hit total at collection
 //   cache_misses      int     sched.cache_miss total at collection
-//   check_engine      string  fact engine of a `check` run ("" elsewhere)
-//   summary_cache_hits   int  check.summary_cache_hit total at collection
-//   summary_cache_misses int  check.summary_cache_miss total at collection
 //   self_trace        string  path of the run's --self-trace archive ("" = none)
 //   inputs            [{path, bytes, crc32, ok}]  input archive digests
 //   phases            [{path, name, depth, count, wall_ns, cpu_ns}]
@@ -74,13 +71,6 @@ struct RunManifest {
   std::string cache_dir;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Fact-engine provenance of a `check` run: which engine derived the
-  /// checker facts ("replay" / "summary" / "auto"; "" for other commands)
-  /// and the summary-cache traffic (auto-filled from the check.summary_*
-  /// counters by collect_manifest). Additive like the engine fields above.
-  std::string check_engine;
-  std::uint64_t summary_cache_hits = 0;
-  std::uint64_t summary_cache_misses = 0;
   /// Path of the self-trace archive the run wrote under `--self-trace[=path]`
   /// ("" when the run recorded none). `perf diff` follows these paths to
   /// localize *where* two runs' phase structures diverged via diffNLR.

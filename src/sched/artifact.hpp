@@ -32,7 +32,9 @@ inline constexpr std::uint64_t kArtifactSchemaVersion = 1;
 // collide with an existing one:
 //   1  core::kArtifactNlr            per-trace NLR program   (core/sweep_cache.hpp)
 //   2  core::kArtifactEval           per-row sweep evaluation (core/sweep_cache.hpp)
-//   3  analyze::kArtifactCheckSummary per-stream check summary (analyze/summary.hpp)
+//   3  retired: per-stream check summaries of the removed abstract check
+//      engine. Never reuse it — old cache directories may still hold such
+//      entries, and a new payload under kind 3 would be decoded from them.
 //   4  serve::kArtifactServeIndex    sharded trace-store index (serve/shard_store.hpp)
 
 /// Little-endian varint/string/f64 payload writer.

@@ -1,10 +1,15 @@
 #include "sched/pool.hpp"
 
+#include <sched.h>
+
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -12,18 +17,27 @@
 namespace difftrace::sched {
 
 std::size_t hardware_jobs() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof cpus, &cpus) == 0 && CPU_COUNT(&cpus) > 0)
+    return static_cast<std::size_t>(CPU_COUNT(&cpus));
   const auto hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
+
+std::size_t max_jobs() { return 4 * hardware_jobs(); }
 
 std::size_t resolve_jobs(std::size_t requested) {
   if (requested > 0) return requested;
   // Reading the environment once at resolve time, before any worker exists;
   // getenv is not re-entrancy-safe but has no concurrent writer here.
-  if (const char* env = std::getenv("DIFFTRACE_JOBS"); env != nullptr && *env != '\0') {  // NOLINT(concurrency-mt-unsafe)
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) return static_cast<std::size_t>(parsed);
+  if (const char* env = std::getenv("DIFFTRACE_JOBS"); env != nullptr) {  // NOLINT(concurrency-mt-unsafe)
+    const std::string_view text(env);
+    std::size_t parsed = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (ec == std::errc() && end == text.data() + text.size() && parsed >= 1 &&
+        parsed <= max_jobs())
+      return parsed;
   }
   return hardware_jobs();
 }

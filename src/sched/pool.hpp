@@ -32,12 +32,18 @@
 
 namespace difftrace::sched {
 
-/// Number of jobs implied by the machine (>= 1).
+/// Number of jobs implied by the machine (>= 1): the CPUs in the calling
+/// thread's affinity mask (so `taskset -c 0` means 1), falling back to
+/// std::thread::hardware_concurrency() when the mask cannot be read.
 std::size_t hardware_jobs();
 
+/// Largest job count any caller may ask for: 4 × hardware_jobs(). The CLI
+/// rejects a larger --jobs; resolve_jobs ignores a larger DIFFTRACE_JOBS.
+std::size_t max_jobs();
+
 /// Resolves a requested job count: explicit > 0 wins, then the
-/// DIFFTRACE_JOBS environment variable (invalid/empty ignored), then
-/// hardware_jobs(). Always >= 1.
+/// DIFFTRACE_JOBS environment variable (ignored unless a decimal in
+/// [1, max_jobs()]), then hardware_jobs(). Always >= 1.
 std::size_t resolve_jobs(std::size_t requested);
 
 class Pool {

@@ -196,8 +196,7 @@ void Service::op_check(const Request& req, Response& resp, std::ostream& out,
   resp.command = {"check", req.run};
   resp.command.insert(resp.command.end(), req.opts.begin(), req.opts.end());
   const auto store = resident_store(req.run, chatter);
-  resp.exit_code =
-      ops_.check(*store, req.run, req.opts, cache_.dir().string(), out, chatter);
+  resp.exit_code = ops_.check(*store, req.run, req.opts, /*default_cache_dir=*/"", out, chatter);
 }
 
 void Service::op_diff(const Request& req, Response& resp, std::ostream& out,

@@ -39,6 +39,8 @@ struct LoadedArchive {
 /// The analysis callbacks the hosting layer provides. Every `opts` vector
 /// holds raw CLI option tokens ("--k=12", "--side-by-side"); implementations
 /// parse them with the cold CLI's parsers and throw OpError on bad usage.
+/// `check` reads and writes no cache; the service passes "" as its
+/// `default_cache_dir`.
 struct QueryOps {
   std::function<LoadedArchive(const std::string& path, std::ostream& chatter)> load_archive;
   std::function<int(const trace::TraceStore& normal, const trace::TraceStore& faulty,

@@ -2,12 +2,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "cli/commands.hpp"
+#include "cli/ops.hpp"
 #include "obs/manifest.hpp"
+#include "sched/pool.hpp"
 #include "util/json.hpp"
 
 namespace difftrace::cli {
@@ -48,6 +51,46 @@ TEST(Args, BadIntegerThrows) {
 }
 
 TEST(Args, EmptyOptionNameThrows) { EXPECT_THROW(Args({"--"}), ArgError); }
+
+TEST(Args, IntInAcceptsOnlyTheRange) {
+  const auto parse = [](const std::string& value) {
+    return Args({"--n=" + value}).int_in("n", 7, -2, 5);
+  };
+  EXPECT_EQ(parse("-2"), -2);
+  EXPECT_EQ(parse("5"), 5);
+  EXPECT_THROW((void)parse("-3"), ArgError);
+  EXPECT_THROW((void)parse("6"), ArgError);
+  EXPECT_THROW((void)parse("99999999999999999999"), ArgError);  // past int64
+  EXPECT_EQ(Args({}).int_in("n", 7, -2, 5), 7);
+}
+
+// Each bounded numeric option at both edges of its range and one step past
+// each. Parsing sizes nothing, so the jobs edges start no pool.
+TEST(Args, JobsAreBoundedByTheCap) {
+  const auto cap = sched::max_jobs();
+  for (const std::string key : {"jobs", "threads"}) {
+    const auto jobs = [&key](std::int64_t value) {
+      return jobs_request_from(Args({"--" + key + "=" + std::to_string(value)}));
+    };
+    EXPECT_EQ(jobs(0), 0u) << key;
+    EXPECT_EQ(jobs(static_cast<std::int64_t>(cap)), cap) << key;
+    EXPECT_THROW((void)jobs(-1), ArgError) << key;
+    EXPECT_THROW((void)jobs(static_cast<std::int64_t>(cap) + 1), ArgError) << key;
+  }
+}
+
+TEST(Args, NlrKnobsAreBounded) {
+  const auto nlr = [](const std::string& option) { return nlr_from(Args({option})); };
+  EXPECT_EQ(nlr("--k=1").k, 1u);
+  EXPECT_EQ(nlr("--k=1000").k, 1000u);
+  EXPECT_THROW((void)nlr("--k=0"), ArgError);
+  EXPECT_THROW((void)nlr("--k=1001"), ArgError);
+  EXPECT_THROW((void)nlr("--k=-1"), ArgError);
+  EXPECT_EQ(nlr("--min-reps=2").min_reps, 2u);
+  EXPECT_EQ(nlr("--min-reps=1000").min_reps, 1000u);
+  EXPECT_THROW((void)nlr("--min-reps=1"), ArgError);
+  EXPECT_THROW((void)nlr("--min-reps=1001"), ArgError);
+}
 
 // --- filter mini-language --------------------------------------------------------
 
@@ -157,6 +200,21 @@ TEST_F(CliRoundTrip, RankDiffnlrProgressPipeline) {
 
   ASSERT_EQ(run({"progress", normal_, faulty_}), 0) << err_.str();
   EXPECT_NE(out_.str().find("least progressed:"), std::string::npos);
+}
+
+TEST_F(CliRoundTrip, RankRejectsOutOfRangeOptionsWithUsageExit) {
+  ASSERT_EQ(run({"collect", "--app", "oddeven", "--nranks", "4", "--size", "8", "--out", normal_}),
+            0)
+      << err_.str();
+  EXPECT_EQ(run({"rank", normal_, normal_, "--top=1", "--jobs=1"}), 0) << err_.str();
+  EXPECT_EQ(run({"rank", normal_, normal_, "--top=1000", "--jobs=1"}), 0) << err_.str();
+  EXPECT_EQ(run({"rank", normal_, normal_, "--top=0"}), 2);
+  EXPECT_NE(err_.str().find("option --top must be in [1, 1000], got 0"), std::string::npos);
+  EXPECT_EQ(run({"rank", normal_, normal_, "--top=1001"}), 2);
+  EXPECT_EQ(run({"rank", normal_, normal_, "--top=-1"}), 2);
+  EXPECT_EQ(run({"rank", normal_, normal_, "--k=-1"}), 2);
+  EXPECT_EQ(run({"rank", normal_, normal_, "--jobs=-1"}), 2);
+  EXPECT_NE(err_.str().find("option --jobs must be in [0, "), std::string::npos);
 }
 
 TEST_F(CliRoundTrip, OutliersSingleRun) {
@@ -392,6 +450,7 @@ TEST_F(CliRoundTrip, InfoJsonAndManifestCarryEngineFields) {
   std::ostringstream text;
   text << file.rdbuf();
   const auto manifest = obs::RunManifest::from_json_text(text.str());
+  EXPECT_EQ(text.str().find("check_engine"), std::string::npos);
   EXPECT_EQ(manifest.jobs, 2u);
   EXPECT_EQ(manifest.cache_dir, cache_dir);
   EXPECT_EQ(manifest.cache_hits, 0u);   // cold run
@@ -412,35 +471,6 @@ TEST_F(CliRoundTrip, InfoJsonAndManifestCarryEngineFields) {
   const auto warm = obs::RunManifest::from_json_text(text2.str());
   EXPECT_GT(warm.cache_hits, 0u);
   EXPECT_EQ(warm.cache_misses, 0u);
-}
-
-TEST_F(CliRoundTrip, CheckEngineFlagSelectsAndValidates) {
-  ASSERT_EQ(run({"collect", "--app", "oddeven", "--nranks", "4", "--size", "8", "--out", normal_}),
-            0)
-      << err_.str();
-
-  // Every engine name is accepted and agrees on a clean archive.
-  EXPECT_EQ(run({"check", normal_, "--engine", "replay"}), 0) << err_.str();
-  const auto replay_out = out_.str();
-  EXPECT_EQ(run({"check", normal_, "--engine", "summary"}), 0) << err_.str();
-  EXPECT_EQ(run({"check", normal_, "--engine", "auto"}), 0) << err_.str();
-  EXPECT_EQ(out_.str(), replay_out);
-
-  // An unknown engine is a usage error (exit 2) naming the valid ones.
-  EXPECT_EQ(run({"check", normal_, "--engine", "quantum"}), 2);
-  EXPECT_NE(err_.str().find("unknown engine 'quantum'"), std::string::npos);
-  for (const auto* name : {"replay", "summary", "auto"})
-    EXPECT_NE(err_.str().find(name), std::string::npos);
-
-  // The engine choice lands in the run manifest.
-  const auto manifest_path = (dir_ / "manifest.json").string();
-  ASSERT_EQ(run({"check", normal_, "--engine", "summary", "--stats=" + manifest_path}), 0)
-      << err_.str();
-  std::ifstream file(manifest_path);
-  std::ostringstream text;
-  text << file.rdbuf();
-  const auto manifest = obs::RunManifest::from_json_text(text.str());
-  EXPECT_EQ(manifest.check_engine, "summary");
 }
 
 // --- perf command group ------------------------------------------------------
@@ -531,10 +561,11 @@ TEST_F(CliRoundTrip, PerfSelfTraceExportIsCanonicalAcrossJobs) {
                  "--fault", "swapBug", "--fault-proc", "3", "--fault-iteration", "2"}),
             0);
 
-  // The same rank pipeline, self-traced at three pool widths. Which lane a
-  // sweep cell lands on is racy (workers and the caller both claim ticks),
-  // but the exported *work* is conserved: every job count shows the same
-  // number of evaluate/cluster spans, and exactly one rank root.
+  // The same rank pipeline, self-traced at three pool widths (the widest is
+  // 8, or the jobs cap when that is lower). Which lane a sweep cell lands
+  // on is racy (workers and the caller both claim ticks), but the exported
+  // *work* is conserved: every job count shows the same number of
+  // evaluate/cluster spans, and exactly one rank root.
   const auto count = [](const std::string& text, const std::string& needle) {
     std::size_t n = 0;
     for (auto pos = text.find(needle); pos != std::string::npos; pos = text.find(needle, pos + 1))
@@ -542,7 +573,8 @@ TEST_F(CliRoundTrip, PerfSelfTraceExportIsCanonicalAcrossJobs) {
     return n;
   };
   std::size_t evaluates = 0;
-  for (const std::string jobs : {"1", "2", "8"}) {
+  const auto wide = std::to_string(std::min<std::size_t>(8, sched::max_jobs()));
+  for (const std::string& jobs : {std::string("1"), std::string("2"), wide}) {
     const auto archive = (dir_ / ("self" + jobs + ".dtrc")).string();
     ASSERT_EQ(run({"rank", normal_, faulty_, "--jobs", jobs, "--self-trace=" + archive}), 0)
         << err_.str();

@@ -16,6 +16,12 @@ struct CategoryCase {
   bool expected;
 };
 
+// Without this, gtest prints the case as raw bytes (padding and a heap
+// pointer), so the listed test names would change from run to run.
+void PrintTo(const CategoryCase& c, std::ostream* os) {
+  *os << category_short_name(c.category) << ':' << c.name << '=' << (c.expected ? "true" : "false");
+}
+
 class CategoryMatch : public ::testing::TestWithParam<CategoryCase> {};
 
 TEST_P(CategoryMatch, MatchesPerTableOne) {

@@ -18,32 +18,6 @@ util::Matrix two_pairs() {
   return d;
 }
 
-TEST(Cophenetic, PairHeightsAndJoinHeight) {
-  const auto z = linkage(two_pairs(), Linkage::Average);
-  const auto c = cophenetic(z, 4);
-  EXPECT_DOUBLE_EQ(c(0, 1), 0.1);
-  EXPECT_DOUBLE_EQ(c(2, 3), 0.2);
-  EXPECT_DOUBLE_EQ(c(0, 2), z[2].height);  // cross-pair join at the final merge
-  EXPECT_DOUBLE_EQ(c(1, 3), z[2].height);
-  EXPECT_DOUBLE_EQ(c(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(c(2, 0), c(0, 2));  // symmetric
-}
-
-TEST(Cophenetic, UltrametricInequality) {
-  // cophenetic distances satisfy d(i,k) <= max(d(i,j), d(j,k)).
-  const auto z = linkage(two_pairs(), Linkage::Complete);
-  const auto c = cophenetic(z, 4);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 4; ++j)
-      for (std::size_t k = 0; k < 4; ++k)
-        EXPECT_LE(c(i, k), std::max(c(i, j), c(j, k)) + 1e-12);
-}
-
-TEST(Cophenetic, SizeMismatchThrows) {
-  const auto z = linkage(two_pairs(), Linkage::Single);
-  EXPECT_THROW((void)cophenetic(z, 5), std::invalid_argument);
-}
-
 TEST(Dendrogram, RendersMergesWithLabels) {
   const auto z = linkage(two_pairs(), Linkage::Average);
   const auto text = render_dendrogram(z, 4, {"a", "b", "c", "d"});

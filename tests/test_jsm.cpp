@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "util/prng.hpp"
 
 namespace difftrace::core {
@@ -63,38 +61,6 @@ TEST(Jsm, LatticePathMatchesDirectPath) {
   for (std::size_t i = 0; i < attrs.size(); ++i)
     for (std::size_t j = 0; j < attrs.size(); ++j)
       EXPECT_NEAR(via_lattice(i, j), direct(i, j), 1e-12) << i << "," << j;
-}
-
-TEST(WeightedJaccard, KnownValues) {
-  using Freqs = std::map<std::string, std::uint64_t>;
-  EXPECT_DOUBLE_EQ(weighted_jaccard(Freqs{{"a", 2}, {"b", 3}}, Freqs{{"a", 2}, {"b", 3}}), 1.0);
-  EXPECT_DOUBLE_EQ(weighted_jaccard(Freqs{{"a", 1}}, Freqs{{"b", 1}}), 0.0);
-  // min(2,4)+min(0,1) / max(2,4)+max(0,1) = 2/5
-  EXPECT_DOUBLE_EQ(weighted_jaccard(Freqs{{"a", 2}}, Freqs{{"a", 4}, {"b", 1}}), 2.0 / 5.0);
-  EXPECT_DOUBLE_EQ(weighted_jaccard({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(weighted_jaccard(Freqs{{"a", 1}}, {}), 0.0);
-}
-
-TEST(WeightedJaccard, GradedSensitivityToCountDrift) {
-  using Freqs = std::map<std::string, std::uint64_t>;
-  const Freqs base{{"loop", 100}};
-  const double close = weighted_jaccard(base, Freqs{{"loop", 101}});
-  const double far = weighted_jaccard(base, Freqs{{"loop", 200}});
-  EXPECT_GT(close, 0.99);
-  EXPECT_LT(far, 0.51);
-  EXPECT_GT(close, far);
-}
-
-TEST(WeightedJaccard, MatrixSymmetricUnitDiagonal) {
-  std::vector<std::map<std::string, std::uint64_t>> freqs = {
-      {{"a", 3}, {"b", 1}}, {{"a", 1}}, {{"c", 5}}};
-  const auto m = jsm_from_frequencies(freqs);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(m(i, i), 1.0);
-    for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(m(i, j), m(j, i));
-  }
-  EXPECT_DOUBLE_EQ(m(0, 1), 0.25);  // min 1 / max(3+1)
-  EXPECT_DOUBLE_EQ(m(0, 2), 0.0);
 }
 
 TEST(JsmDiff, IdenticalRunsGiveZero) {

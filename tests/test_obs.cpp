@@ -168,9 +168,6 @@ RunManifest sample_manifest() {
   m.cache_dir = "/tmp/cache";
   m.cache_hits = 3;
   m.cache_misses = 1;
-  m.check_engine = "abstract";
-  m.summary_cache_hits = 7;
-  m.summary_cache_misses = 2;
   m.self_trace = "run.selftrace.dtrc";
   HistogramSample h;
   h.name = "trace.blob_events";
@@ -217,9 +214,6 @@ TEST(Manifest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(parsed.cache_dir, "/tmp/cache");
   EXPECT_EQ(parsed.cache_hits, 3u);
   EXPECT_EQ(parsed.cache_misses, 1u);
-  EXPECT_EQ(parsed.check_engine, "abstract");
-  EXPECT_EQ(parsed.summary_cache_hits, 7u);
-  EXPECT_EQ(parsed.summary_cache_misses, 2u);
   EXPECT_EQ(parsed.self_trace, "run.selftrace.dtrc");
 
   ASSERT_EQ(parsed.histograms.size(), 1u);

@@ -194,25 +194,6 @@ TEST_F(OddEvenPipeline, FacadeTiesItTogether) {
   EXPECT_TRUE(session.diffnlr({9, 0}).identical());
 }
 
-TEST_F(OddEvenPipeline, WeightedEvaluationFlagsTraceFive) {
-  const Session session(*normal_, *swap_, FilterSpec::mpi_all(), NlrConfig{});
-  const auto eval = evaluate_weighted(session, AttrKind::Single, Linkage::Ward);
-  const auto idx5 = session.index_of({5, 0});
-  for (std::size_t i = 0; i < eval.scores.size(); ++i)
-    if (i != idx5) {
-      EXPECT_GE(eval.scores[idx5], eval.scores[i]) << "trace " << i;
-    }
-  EXPECT_GT(eval.scores[idx5], 0.0);
-  EXPECT_LT(eval.bscore, 1.0 + 1e-12);
-}
-
-TEST_F(OddEvenPipeline, WeightedEvaluationIdenticalRunsAreClean) {
-  const Session session(*normal_, *normal_, FilterSpec::mpi_all(), NlrConfig{});
-  const auto eval = evaluate_weighted(session, AttrKind::Double, Linkage::Ward);
-  EXPECT_DOUBLE_EQ(eval.jsm_d.max_abs(), 0.0);
-  EXPECT_DOUBLE_EQ(eval.bscore, 1.0);
-}
-
 TEST_F(OddEvenPipeline, TracesAreDeterministicAcrossCollections) {
   // The whole methodology rests on the normal run being a reproducible
   // baseline: a second collection of the same configuration must produce

@@ -5,6 +5,9 @@
 // corruption tolerance, stats/clear/verify maintenance surface).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -143,6 +146,44 @@ TEST(Pool, ResolveJobsPrecedence) {
   EXPECT_EQ(resolve_jobs(0), hardware_jobs());
   ::unsetenv("DIFFTRACE_JOBS");
   EXPECT_EQ(resolve_jobs(0), hardware_jobs());
+}
+
+TEST(Pool, EnvJobsOutsideTheCapAreIgnored) {
+  // Resolving only — no pool is sized from these values.
+  const auto cap = max_jobs();
+  EXPECT_EQ(cap, 4 * hardware_jobs());
+  ::setenv("DIFFTRACE_JOBS", "1", 1);
+  EXPECT_EQ(resolve_jobs(0), 1u);
+  ::setenv("DIFFTRACE_JOBS", std::to_string(cap).c_str(), 1);
+  EXPECT_EQ(resolve_jobs(0), cap);
+  ::setenv("DIFFTRACE_JOBS", std::to_string(cap + 1).c_str(), 1);
+  EXPECT_EQ(resolve_jobs(0), hardware_jobs());
+  ::setenv("DIFFTRACE_JOBS", "-1", 1);  // a sign must not wrap to a huge count
+  EXPECT_EQ(resolve_jobs(0), hardware_jobs());
+  ::setenv("DIFFTRACE_JOBS", "", 1);
+  EXPECT_EQ(resolve_jobs(0), hardware_jobs());
+  ::unsetenv("DIFFTRACE_JOBS");
+}
+
+TEST(Pool, HardwareJobsCountsTheAffinityMask) {
+  // Narrow only this thread's mask to one CPU it may already run on, then
+  // restore it.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof saved, &saved), 0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof one, &one), 0);
+  const auto narrowed = hardware_jobs();
+  const auto narrowed_cap = max_jobs();
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof saved, &saved), 0);
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(narrowed_cap, 4u);
+  EXPECT_EQ(hardware_jobs(), static_cast<std::size_t>(CPU_COUNT(&saved)));
 }
 
 TEST(Pool, ParallelForCoversEveryIndexExactlyOnce) {

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 
 #include "cli/commands.hpp"
 #include "cli/load.hpp"
+#include "sched/pool.hpp"
 #include "serve/hot_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
@@ -79,7 +81,7 @@ TEST(ServeProtocol, ResponseRoundTripAndVersionGate) {
   resp.status = "error";
   resp.exit_code = 3;
   resp.tool_version = "1.0.0";
-  resp.command = {"check", "bad", "--engine=replay"};
+  resp.command = {"check", "bad", "--checkers=mpi"};
   resp.wall_ns = 12345;
   resp.cpu_ns = 6789;
   resp.peak_rss_kb = 1024;
@@ -444,11 +446,17 @@ TEST_F(ServeEndToEnd, WarmAnswersAreByteIdenticalToColdCli) {
 }
 
 TEST_F(ServeEndToEnd, UsageErrorsCrossTheWire) {
-  collect("normal", false);
+  const auto normal = collect("normal", false);
   start_daemon(socket_path(2));
   EXPECT_EQ(query({"rank", "nope", "alsono"}), 2);
   EXPECT_NE(err_.str().find("unknown run"), std::string::npos);
   EXPECT_EQ(query({"ingest", (dir_ / "missing.dtrc").string()}), 2);
+  // An out-of-range request option is a usage error, rejected before any
+  // pool is sized from it.
+  ASSERT_EQ(query({"ingest", normal, "--name", "normal"}), 0) << err_.str();
+  EXPECT_EQ(query({"rank", "normal", "normal", "--jobs=-1"}), 2);
+  EXPECT_NE(err_.str().find("server error: option --jobs must be in [0, "), std::string::npos)
+      << err_.str();
   stop_daemon();
   EXPECT_EQ(daemon_exit_, 0) << daemon_err_.str();
 }
@@ -476,8 +484,10 @@ TEST_F(ServeEndToEnd, ConcurrentIngestMatchesSerial) {
     fs::remove_all(dir_ / "store");
   }
 
-  // Concurrent daemon: 8 workers, every client ingests in its own thread.
-  start_daemon(socket_path(4), {"--jobs", "8"});
+  // Concurrent daemon: up to 8 workers (the jobs cap allows 4 even on one
+  // CPU), every client ingests in its own thread.
+  start_daemon(socket_path(4),
+               {"--jobs", std::to_string(std::min<std::size_t>(8, sched::max_jobs()))});
   {
     std::vector<std::thread> clients;
     std::vector<int> codes(kClients, -1);

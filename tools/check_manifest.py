@@ -118,16 +118,10 @@ def check_manifest(doc: object, min_coverage: float, required_counters: list[str
         ("cache_dir", str),
         ("cache_hits", int),
         ("cache_misses", int),
-        ("check_engine", str),
-        ("summary_cache_hits", int),
-        ("summary_cache_misses", int),
         ("self_trace", str),
     ):
         if key in doc:
             problems.expect(doc, key, kinds, "manifest")
-    engine = doc.get("check_engine")
-    if isinstance(engine, str) and engine not in ("", "replay", "summary", "auto"):
-        problems.add(f"manifest: check_engine '{engine}' is not one of replay/summary/auto")
 
     command = problems.expect(doc, "command", list, "manifest")
     if command is not None and not all(isinstance(c, str) for c in command):

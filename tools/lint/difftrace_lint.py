@@ -244,23 +244,6 @@ def _scan_sim_inject(lines: list[str]) -> Iterable[tuple[int, str]]:
             yield i, "simfault::hooks:: call outside the simulated runtimes (injection points live in simmpi/simomp/apps only)"
 
 
-# --- ir-first-analysis ----------------------------------------------------
-# The static checkers run on the NLR program directly (loop-body effect
-# summaries composed by iteration count); expanding the IR back into the
-# full op stream forfeits exactly the asymptotic win the abstract engine
-# exists for. The one sanctioned expansion site is the scoped replay
-# fallback (replay_fallback.cpp), which materialises a single loop body
-# only when a summary's precision verdict demands an exact walk.
-
-_IR_FIRST_RE = re.compile(r"(?<![\w])expand_nlr\s*\(")
-
-
-def _scan_ir_first(lines: list[str]) -> Iterable[tuple[int, str]]:
-    for i, line in enumerate(lines, start=1):
-        if _IR_FIRST_RE.search(line):
-            yield i, "expand_nlr() in analysis code outside the replay fallback (summarize the NLR body instead; scoped expansion lives in replay_fallback.cpp)"
-
-
 # --- raw-mutex ------------------------------------------------------------
 # All locking goes through util::Mutex / util::MutexLock / util::CondVar so
 # Clang thread-safety analysis can see it; raw std primitives are invisible
@@ -384,12 +367,6 @@ RULES: list[Rule] = [
         "no simfault::hooks:: call sites outside simfault/simmpi/simomp/apps",
         exempt=lambda p: _has_dir(p, "simfault", "simmpi", "simomp", "apps"),
         scan=_scan_sim_inject,
-    ),
-    Rule(
-        "ir-first-analysis",
-        "no expand_nlr() in src/analyze/ outside the replay-fallback TU",
-        exempt=lambda p: not _has_dir(p, "analyze") or p.name == "replay_fallback.cpp",
-        scan=_scan_ir_first,
     ),
     Rule(
         "obs-sink-discipline",

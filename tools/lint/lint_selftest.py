@@ -38,10 +38,9 @@ EXPECTED: dict[str, set[tuple[str, int]]] = {
     # separator's lone tick, and a backslash-newline inside a string. Each
     # once hid or shifted these two findings; the exact lines pin the fix.
     "bad_strip.cpp": {("stream-discipline", 17), ("stream-discipline", 24)},
-    # Path-scoped rules: these fixtures sit under an analyze/ (resp. obs/)
+    # Path-scoped rules: these fixtures sit under an obs/ (resp. serve/)
     # subdirectory so the scope predicate fires on them exactly as it does
-    # on src/analyze/ (resp. src/obs/).
-    "analyze/bad_ir_first.cpp": {("ir-first-analysis", 18), ("ir-first-analysis", 24)},
+    # on src/obs/ (resp. src/serve/).
     "obs/bad_obs_stream.cpp": {("obs-sink-discipline", 11), ("obs-sink-discipline", 15)},
     "serve/bad_serve_protocol.cpp": {
         ("serve-protocol-discipline", 11),
